@@ -34,10 +34,11 @@ use crate::timeline::{build_timeline, StudyEvent};
 use iotls_crypto::drbg::Drbg;
 use iotls_devices::{DeviceSetup, Testbed};
 use iotls_simnet::{
-    drive_session_reusing, record_session_metrics, DriveScratch, FaultPlan, GatewayTap,
-    LinkConditioner, SessionFaults, SessionParams, SessionResult, TlsObservation,
+    drive, record_session_metrics, DriveScratch, FaultPlan, GatewayTap, LinkConditioner,
+    SessionFaults, SessionParams, SessionResult, TlsObservation,
 };
 use iotls_tls::client::ClientConnection;
+use iotls_tls::middleware::Chain;
 use iotls_tls::server::ServerConnection;
 use iotls_x509::Month;
 use std::collections::HashMap;
@@ -336,9 +337,9 @@ fn streamed<A: Send>(
         let device = testbed.device(&device_name);
         // Cache of driven handshakes keyed by (dest index, phase
         // start) — the observation metadata is identical within a
-        // phase. One reusable tap serves every drive in the lane.
+        // phase. One reusable tap chain serves every drive in the lane.
         let mut cache: HashMap<(usize, Month), Option<TlsObservation>> = HashMap::new();
-        let mut tap = GatewayTap::new();
+        let mut chain = Chain::new().with(Box::new(GatewayTap::new()));
         let mut scratch = DriveScratch::new();
         let mut obs_reg = Registry::new();
         let mut b = DatasetBuilder::new();
@@ -371,7 +372,7 @@ fn streamed<A: Send>(
                         );
                         let faults = plan.session_faults(&fault_key);
                         let result = drive_one(
-                            testbed, device, dest_idx, month, &mut rng, &faults, &mut tap,
+                            testbed, device, dest_idx, month, &mut rng, &faults, &mut chain,
                             &mut scratch,
                         );
                         record_session_metrics(&mut obs_reg, &result);
@@ -582,9 +583,9 @@ fn streamed<A: Send>(
 
 /// Drives one real handshake for (device, destination) in `month`,
 /// through a link conditioner applying `faults`, observing through
-/// the lane's reusable `tap`. The handshake randomness is keyed by
-/// (hostname, month) only, so re-drives of a faulted session replay
-/// identical bytes.
+/// the lane's reusable tap `chain`. The handshake randomness is keyed
+/// by (hostname, month) only, so re-drives of a faulted session
+/// replay identical bytes.
 #[allow(clippy::too_many_arguments)]
 fn drive_one(
     testbed: &Testbed,
@@ -593,7 +594,7 @@ fn drive_one(
     month: Month,
     rng: &mut Drbg,
     faults: &SessionFaults,
-    tap: &mut GatewayTap,
+    chain: &mut Chain,
     scratch: &mut DriveScratch,
 ) -> SessionResult {
     let dest = &device.spec.destinations[dest_idx];
@@ -617,7 +618,7 @@ fn drive_one(
         ops: faults.ops.clone(),
         dns: None,
     });
-    drive_session_reusing(
+    drive(
         client,
         server,
         SessionParams {
@@ -629,7 +630,7 @@ fn drive_one(
             destination: &dest.hostname,
         },
         &mut conditioner,
-        Some(tap),
+        chain,
         scratch,
     )
 }

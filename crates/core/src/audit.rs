@@ -134,18 +134,6 @@ pub fn run_interception_audit(testbed: &Testbed, seed: u64) -> InterceptionRepor
     InterceptionAudit.run(testbed, &ExperimentCtx::new(seed))
 }
 
-/// Runs the Table 7 audit with every lab observing through the
-/// middleware chain ([`ActiveLab::enable_middleware_tap`]) instead of
-/// the byte-feed tap. The report is byte-identical to
-/// [`InterceptionAudit::run`] on the same context — the oracle test
-/// in `tests/middleware_chain.rs` holds the two against each other.
-pub fn run_interception_audit_middleware(
-    testbed: &Testbed,
-    ctx: &ExperimentCtx,
-) -> InterceptionReport {
-    audit_sweep(testbed, ctx, true)
-}
-
 /// Observe-only middleware expressing the audit's wire-level
 /// observables as a gateway chain member: counts handshakes,
 /// certificate presentations, and post-handshake application
@@ -168,7 +156,7 @@ pub struct AuditObserver {
 }
 
 impl Middleware for AuditObserver {
-    fn on_record(&mut self, _flow: Flow, content_type: ContentType, payload: &mut [u8]) -> Verdict {
+    fn on_record(&mut self, _flow: Flow, content_type: ContentType, payload: &[u8]) -> Verdict {
         if content_type == ContentType::ApplicationData {
             self.app_records += 1;
             for marker in SENSITIVE_MARKERS {
@@ -182,12 +170,12 @@ impl Middleware for AuditObserver {
         Verdict::Continue
     }
 
-    fn on_client_hello(&mut self, _flow: Flow, _body: &mut [u8]) -> Verdict {
+    fn on_client_hello(&mut self, _flow: Flow, _body: &[u8]) -> Verdict {
         self.client_hellos += 1;
         Verdict::Continue
     }
 
-    fn on_certificate(&mut self, _flow: Flow, _body: &mut [u8]) -> Verdict {
+    fn on_certificate(&mut self, _flow: Flow, _body: &[u8]) -> Verdict {
         self.certificates += 1;
         Verdict::Continue
     }
@@ -217,13 +205,12 @@ impl Experiment for InterceptionAudit {
     /// the `audit.*` verdict counters merge in roster order so the
     /// totals are identical at any thread count.
     fn run(&self, testbed: &Testbed, ctx: &ExperimentCtx) -> InterceptionReport {
-        audit_sweep(testbed, ctx, false)
+        audit_sweep(testbed, ctx)
     }
 }
 
-/// The audit sweep proper, shared by the tap-path and middleware-path
-/// entry points; `middleware_tap` flips every lab onto the chain.
-fn audit_sweep(testbed: &Testbed, ctx: &ExperimentCtx, middleware_tap: bool) -> InterceptionReport {
+/// The audit sweep proper, behind [`InterceptionAudit::run`].
+fn audit_sweep(testbed: &Testbed, ctx: &ExperimentCtx) -> InterceptionReport {
     let seed = ctx.seed();
     let mut rows = Vec::new();
     let mut passthrough_gains = Vec::new();
@@ -254,9 +241,6 @@ fn audit_sweep(testbed: &Testbed, ctx: &ExperimentCtx, middleware_tap: bool) -> 
         ];
         for (i, policy) in policies.iter().enumerate() {
             let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ (i as u64) << 8);
-            if middleware_tap {
-                lab.enable_middleware_tap();
-            }
             let (compromised, attack_leaks, seen) =
                 attack_device(&mut lab, &device.spec.name, policy);
             flags[i] = !compromised.is_empty();

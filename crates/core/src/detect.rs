@@ -58,14 +58,14 @@ struct BaselineSkim {
 }
 
 impl Middleware for BaselineSkim {
-    fn on_client_hello(&mut self, _flow: Flow, body: &mut [u8]) -> Verdict {
+    fn on_client_hello(&mut self, _flow: Flow, body: &[u8]) -> Verdict {
         if self.ch_hash.is_none() {
             self.ch_hash = Some(fnv1a(body));
         }
         Verdict::Continue
     }
 
-    fn on_certificate(&mut self, _flow: Flow, body: &mut [u8]) -> Verdict {
+    fn on_certificate(&mut self, _flow: Flow, body: &[u8]) -> Verdict {
         if self.cert_hash.is_none() {
             self.cert_hash = Some(fnv1a(body));
         }
@@ -78,9 +78,9 @@ impl Middleware for BaselineSkim {
 }
 
 impl FlowBaseline {
-    /// Skims a recorded tape through the chain's own byte-feed avenue
-    /// — the exact dispatch path live sessions take — so baseline and
-    /// observation hashes can never diverge on framing.
+    /// Skims a recorded tape through [`Chain::feed`] — the one
+    /// dispatch path live sessions take — so baseline and observation
+    /// hashes can never diverge on framing.
     pub fn of(flow: &SessionFlow) -> FlowBaseline {
         let mut chain = Chain::new().with(Box::new(BaselineSkim::default()));
         chain.begin_session();
@@ -145,7 +145,7 @@ impl DriftDetector {
 impl Middleware for DriftDetector {
     // ALLOC-FREE: begin (drift hot path — hashes borrow the hook's
     // body slice; membership is a scan over the enrolled vectors).
-    fn on_client_hello(&mut self, _flow: Flow, body: &mut [u8]) -> Verdict {
+    fn on_client_hello(&mut self, _flow: Flow, body: &[u8]) -> Verdict {
         if self.ch_allowed.is_empty() || self.ch_allowed.contains(&fnv1a(body)) {
             return Verdict::Continue;
         }
@@ -153,7 +153,7 @@ impl Middleware for DriftDetector {
         Verdict::Intercept
     }
 
-    fn on_certificate(&mut self, _flow: Flow, body: &mut [u8]) -> Verdict {
+    fn on_certificate(&mut self, _flow: Flow, body: &[u8]) -> Verdict {
         if self.cert_allowed.is_empty() || self.cert_allowed.contains(&fnv1a(body)) {
             return Verdict::Continue;
         }

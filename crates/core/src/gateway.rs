@@ -53,9 +53,7 @@ use iotls_crypto::drbg::Drbg;
 use iotls_devices::spec::Category;
 use iotls_devices::{client_config, Testbed};
 use iotls_obs::Registry;
-use iotls_simnet::mux::{
-    replay_flow_chained, replay_flow_with, AcceptLoop, ReplayScratch, SessionFlow,
-};
+use iotls_simnet::mux::{replay, AcceptLoop, ReplayOutcome, ReplayScratch, SessionFlow};
 use iotls_simnet::{FailureCause, InjectedFault, SessionFaults};
 use iotls_tls::client::ClientConnection;
 use iotls_tls::middleware::{Chain, ChainStats, Signal, Stage};
@@ -530,14 +528,15 @@ impl<'a> Gateway<'a> {
         self.chain_factory = Some(factory);
     }
 
-    /// One chain slot per roster endpoint, built fresh for each
-    /// worker (empty when no factory is registered — the hot path
-    /// stays branch-cheap).
-    fn worker_chains(&self) -> Vec<Option<Chain>> {
-        match &self.chain_factory {
-            Some(factory) => self.endpoints.iter().map(|e| factory(e)).collect(),
-            None => Vec::new(),
-        }
+    /// One chain per roster endpoint, built fresh for each worker:
+    /// the factory's chain, or an empty one (which allocates nothing
+    /// and replays on the fast path) wherever there is no factory or
+    /// it gives none.
+    fn worker_chains(&self) -> Vec<Chain> {
+        self.endpoints
+            .iter()
+            .map(|e| self.chain_factory.as_ref().and_then(|f| f(e)).unwrap_or_default())
+            .collect()
     }
 
     /// Runs the soak to completion — admission ticks, then the drain —
@@ -707,7 +706,6 @@ impl<'a> Gateway<'a> {
                     mw_totals.invocations[stage.index()],
                 );
             }
-            reg.add("gateway.middleware.rewrites", mw_totals.rewrites);
             reg.add("gateway.middleware.intercepts", mw_totals.intercepts);
             reg.add("gateway.middleware.aborts", mw_totals.aborts);
             reg.add("gateway.middleware.sessions.intercepted", intercepted);
@@ -756,7 +754,7 @@ impl<'a> Gateway<'a> {
     fn drive(
         &self,
         scratch: &mut ReplayScratch,
-        chains: &mut [Option<Chain>],
+        chains: &mut [Chain],
         ticket: Ticket,
     ) -> SessionOutcome {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -780,7 +778,7 @@ impl<'a> Gateway<'a> {
     fn drive_inner(
         &self,
         scratch: &mut ReplayScratch,
-        chains: &mut [Option<Chain>],
+        chains: &mut [Chain],
         ticket: Ticket,
     ) -> SessionOutcome {
         let cfg = &self.config;
@@ -795,55 +793,24 @@ impl<'a> Gateway<'a> {
             }
         }
 
-        let mut chain = chains.get_mut(entry.endpoint_idx).and_then(Option::as_mut);
+        let chain = &mut chains[entry.endpoint_idx];
         let plan = self.ctx.plan();
         let mut stats = FaultStats::default();
         let mut mw = ChainStats::default();
-        if plan.is_none() {
-            // Hot path: no fault-key formatting, no retry loop.
-            let (out, verdict) = match chain.as_deref_mut() {
-                Some(ch) => {
-                    let out = replay_flow_chained(
-                        &entry.flow,
-                        SessionFaults::none(),
-                        cfg.deadline_rounds,
-                        scratch,
-                        ch,
-                    );
-                    let verdict = chained_verdict(&out, ch.terminal());
-                    mw = ch.take_stats();
-                    (out, verdict)
-                }
-                None => {
-                    let out = replay_flow_with(
-                        &entry.flow,
-                        SessionFaults::none(),
-                        cfg.deadline_rounds,
-                        scratch,
-                    );
-                    let verdict = classify(&out);
-                    (out, verdict)
-                }
-            };
-            return SessionOutcome {
-                verdict,
-                stats,
-                bytes: out.bytes_delivered,
-                rounds: out.rounds_used as u64,
-                mw,
-            };
-        }
-
         let mut faulted_tries = 0u64;
         let mut bytes = 0u64;
         let mut rounds = 0u64;
         let mut verdict = SessionVerdict::Failed(FailureCause::DnsFailure);
         for try_idx in 0..INLINE_RETRY_BUDGET {
-            let key = format!(
-                "gw/{}/{}/{}/try{}",
-                entry.device, entry.endpoint, ticket.seq, try_idx
-            );
-            let faults = plan.session_faults(&key);
+            // The fault-free hot path skips the key formatting.
+            let faults = if plan.is_none() {
+                SessionFaults::none()
+            } else {
+                plan.session_faults(&format!(
+                    "gw/{}/{}/{}/try{}",
+                    entry.device, entry.endpoint, ticket.seq, try_idx
+                ))
+            };
 
             if faults.dns.is_some() {
                 stats.dns_failures += 1;
@@ -861,26 +828,9 @@ impl<'a> Gateway<'a> {
                 ops: faults.ops,
                 dns: None,
             };
-            let out = match chain.as_deref_mut() {
-                Some(ch) => {
-                    let out = replay_flow_chained(
-                        &entry.flow,
-                        session_faults,
-                        cfg.deadline_rounds,
-                        scratch,
-                        ch,
-                    );
-                    verdict = chained_verdict(&out, ch.terminal());
-                    mw.merge(&ch.take_stats());
-                    out
-                }
-                None => {
-                    let out =
-                        replay_flow_with(&entry.flow, session_faults, cfg.deadline_rounds, scratch);
-                    verdict = classify(&out);
-                    out
-                }
-            };
+            let out = replay(&entry.flow, session_faults, cfg.deadline_rounds, scratch, chain);
+            verdict = chained_verdict(&out, chain.terminal());
+            mw.merge(&chain.take_stats());
             count_injected(&mut stats, &out.injected);
             bytes = out.bytes_delivered;
             rounds = out.rounds_used as u64;
@@ -955,30 +905,17 @@ fn class_label(class: Category) -> &'static str {
     }
 }
 
-/// Verdict for a chained replay: a sticky middleware signal wins
-/// (the chain ended the session), otherwise the usual classification
-/// of the replay outcome applies.
-fn chained_verdict(
-    out: &iotls_simnet::mux::ReplayOutcome,
-    signal: Option<Signal>,
-) -> SessionVerdict {
-    match signal {
-        Some(Signal::Intercept) => SessionVerdict::Intercepted,
-        Some(Signal::Abort) => SessionVerdict::AbortedByMiddleware,
-        None => classify(out),
-    }
-}
-
-/// Maps a replay outcome to the session verdict: wedges become
-/// deadline overruns, everything else keeps its cause.
-fn classify(out: &iotls_simnet::mux::ReplayOutcome) -> SessionVerdict {
-    if out.established {
-        return SessionVerdict::Established;
-    }
-    match out.failure {
-        None => SessionVerdict::HandshakeFailed,
-        Some(FailureCause::Wedged) => SessionVerdict::DeadlineExceeded,
-        Some(cause) => SessionVerdict::Failed(cause),
+/// Maps a replay outcome to the session verdict: a sticky middleware
+/// signal wins (the chain ended the session); otherwise wedges become
+/// deadline overruns and everything else keeps its cause.
+fn chained_verdict(out: &ReplayOutcome, signal: Option<Signal>) -> SessionVerdict {
+    match (signal, out.failure) {
+        (Some(Signal::Intercept), _) => SessionVerdict::Intercepted,
+        (Some(Signal::Abort), _) => SessionVerdict::AbortedByMiddleware,
+        _ if out.established => SessionVerdict::Established,
+        (None, None) => SessionVerdict::HandshakeFailed,
+        (None, Some(FailureCause::Wedged)) => SessionVerdict::DeadlineExceeded,
+        (None, Some(cause)) => SessionVerdict::Failed(cause),
     }
 }
 

@@ -1,30 +1,34 @@
 //! Lockstep session driver.
 //!
 //! Connects a sans-IO TLS client to a sans-IO TLS server over a
-//! `DuplexLink` and pumps bytes until the
-//! link is quiescent, optionally exchanging application payloads and
-//! optionally copying every byte into a passive [`GatewayTap`]. This
-//! is the single primitive behind every experiment in the
-//! reproduction: passive capture (real server), interception (the
-//! MITM's server), and the root-store probe (spoofed-CA server).
+//! `DuplexLink` and pumps bytes until the link is quiescent,
+//! optionally exchanging application payloads. This is the single
+//! primitive behind every experiment in the reproduction: passive
+//! capture (real server), interception (the MITM's server), and the
+//! root-store probe (spoofed-CA server).
 //!
-//! Every transferred chunk passes through a
-//! [`LinkConditioner`], which in chaos runs may cut,
-//! corrupt, or throttle the stream; the plain [`drive_session`] uses a
-//! passthrough conditioner and behaves exactly as before.
+//! [`drive`] is the one entry point. Every transferred chunk passes
+//! through a [`LinkConditioner`], which in chaos runs may cut,
+//! corrupt, or throttle the stream; the conditioned bytes are then fed
+//! through a middleware [`Chain`] — the gateway's vantage point — and
+//! handed to the receiving endpoint only while the chain has not
+//! stopped the session. A [`GatewayTap`] at chain slot 0 is the
+//! passive observer: the driver resets it before the session and
+//! fills the result's observation from it afterwards. An empty chain
+//! observes nothing and costs nothing.
 //!
 //! The pump is unbuffered end to end: each direction owns one
 //! [`SessionBuf`] that the endpoints' `process` calls append to and
 //! the conditioner consumes, and both endpoints' per-session scratch
 //! lives in a caller-reusable [`DriveScratch`]. A lane that calls
-//! [`drive_session_reusing`] with one warm scratch performs zero heap
+//! [`drive`] with one warm scratch and one chain performs zero heap
 //! allocations per session in the steady state.
 
 use crate::fault::{Direction, FailureCause, InjectedFault, LinkConditioner};
 use crate::pipe::DuplexLink;
 use crate::tap::{GatewayTap, TlsObservation};
 use iotls_tls::client::{ClientConnection, HandshakeSummary};
-use iotls_tls::middleware::Chain;
+use iotls_tls::middleware::{Chain, Flow};
 use iotls_tls::record::SessionBuf;
 use iotls_tls::server::ServerConnection;
 use iotls_tls::session::SessionScratch;
@@ -101,16 +105,18 @@ pub struct SessionResult {
     pub server_received: Vec<u8>,
     /// Application data the client received back.
     pub client_received: Vec<u8>,
-    /// Passive observation, when a tap was attached.
+    /// Passive observation, when a [`GatewayTap`] rode the chain and
+    /// saw a ClientHello.
     pub observation: Option<TlsObservation>,
     /// Total bytes carried client→server.
     pub bytes_c2s: u64,
     /// Total bytes carried server→client.
     pub bytes_s2c: u64,
-    /// Complete TLS records the gateway tap deframed (zero when no
-    /// tap was attached).
+    /// Complete TLS records the gateway tap observed (zero when no
+    /// tap rode the chain).
     pub records_deframed: u64,
-    /// Raw bytes the gateway tap saw (zero when no tap was attached).
+    /// Conditioned link bytes, both directions, while a tap rode the
+    /// chain: `bytes_c2s + bytes_s2c`, or zero with no tap.
     pub bytes_tapped: u64,
 }
 
@@ -129,7 +135,9 @@ pub struct SessionParams<'a> {
     pub client_payload: Option<&'a [u8]>,
     /// Payload the server responds with.
     pub server_payload: Option<&'a [u8]>,
-    /// Attach a passive tap and produce an observation.
+    /// Observe through a fresh [`GatewayTap`]; read only by the
+    /// [`drive_session`] convenience form (callers of [`drive`] put a
+    /// tap on their chain instead).
     pub tap: bool,
     /// Metadata for the observation record.
     pub time: Timestamp,
@@ -153,7 +161,8 @@ impl<'a> SessionParams<'a> {
     }
 }
 
-/// Drives `client` against `server` to quiescence on a clean link.
+/// Drives `client` against `server` to quiescence on a clean link,
+/// observing through a fresh tap when `params.tap` is set.
 ///
 /// The client must *not* have been started; the driver starts it.
 pub fn drive_session(
@@ -161,101 +170,36 @@ pub fn drive_session(
     server: ServerConnection,
     params: SessionParams<'_>,
 ) -> SessionResult {
-    drive_session_faulted(client, server, params, &mut LinkConditioner::passthrough())
+    let mut chain = Chain::new();
+    if params.tap {
+        chain.push(Box::new(GatewayTap::new()));
+    }
+    let mut conditioner = LinkConditioner::passthrough();
+    drive(client, server, params, &mut conditioner, &mut chain, &mut DriveScratch::new())
 }
 
-/// Drives `client` against `server` through a fault-injecting
-/// [`LinkConditioner`].
+/// Drives `client` against `server` through `conditioner`, with
+/// `chain` watching the conditioned bytes, until the link is
+/// quiescent.
 ///
 /// The conditioner may cut the link (→ [`FailureCause::Reset`]),
 /// corrupt a byte (→ [`FailureCause::Garbled`]), or throttle delivery
-/// until the round budget runs out (→ [`FailureCause::Wedged`]). The
-/// gateway tap sees the bytes *after* conditioning, exactly like a
-/// physical tap downstream of a lossy path.
-pub fn drive_session_faulted(
-    client: ClientConnection,
-    server: ServerConnection,
-    params: SessionParams<'_>,
-    conditioner: &mut LinkConditioner,
-) -> SessionResult {
-    let mut scratch = DriveScratch::new();
-    if params.tap {
-        let mut tap = GatewayTap::new();
-        drive_inner(client, server, params, conditioner, Some(&mut tap), None, &mut scratch)
-    } else {
-        drive_inner(client, server, params, conditioner, None, None, &mut scratch)
-    }
-}
-
-/// Like [`drive_session_faulted`] with `tap: true`, but observing
-/// through a caller-owned [`GatewayTap`], which is reset first. Lets a
-/// capture lane reuse one tap (and its scratch buffers) across many
-/// sessions instead of allocating per session.
-pub fn drive_session_faulted_tapped(
-    client: ClientConnection,
-    server: ServerConnection,
-    params: SessionParams<'_>,
-    conditioner: &mut LinkConditioner,
-    tap: &mut GatewayTap,
-) -> SessionResult {
-    tap.reset();
-    let mut scratch = DriveScratch::new();
-    drive_inner(client, server, params, conditioner, Some(tap), None, &mut scratch)
-}
-
-/// The fully reusable form: drives the session with a caller-owned
-/// [`DriveScratch`] (and, when `tap` is `Some`, a caller-owned
-/// [`GatewayTap`], reset first). Endpoints built from this scratch's
-/// `take_client`/`take_server` halves are handed back into it when the
-/// session ends, so a lane looping over sessions allocates nothing
-/// per session once warm.
-pub fn drive_session_reusing(
-    client: ClientConnection,
-    server: ServerConnection,
-    params: SessionParams<'_>,
-    conditioner: &mut LinkConditioner,
-    tap: Option<&mut GatewayTap>,
-    scratch: &mut DriveScratch,
-) -> SessionResult {
-    match tap {
-        Some(t) => {
-            t.reset();
-            drive_inner(client, server, params, conditioner, Some(t), None, scratch)
-        }
-        None => drive_inner(client, server, params, conditioner, None, None, scratch),
-    }
-}
-
-/// [`drive_session_reusing`] with a middleware [`Chain`] riding the
-/// endpoints' record loops: the server dispatches client→server
-/// records and the client dispatches server→client records through
-/// the chain (via `process_with`), so hooks fire from inside the
-/// sans-IO `process()` loop itself — rewrites change what the
-/// endpoints consume, and a terminal verdict stops the pump. The
-/// terminal signal and per-session [`ChainStats`] stay on the chain
-/// for the caller; middleware-collected state (e.g. a [`GatewayTap`]
-/// attached as a chain member) is recovered with
-/// [`Chain::middleware_mut`].
+/// until the round budget runs out (→ [`FailureCause::Wedged`]). Each
+/// round's delivered bytes go through [`Chain::feed`] before the
+/// receiving endpoint sees them, exactly like a gateway downstream of
+/// a lossy path; a terminal verdict stops the pump, and such a
+/// session reports no link failure (the caller reads the verdict off
+/// [`Chain::terminal`], and the per-session stats stay on the chain).
 ///
-/// [`ChainStats`]: iotls_tls::middleware::ChainStats
-pub fn drive_session_chained(
-    client: ClientConnection,
-    server: ServerConnection,
-    params: SessionParams<'_>,
-    conditioner: &mut LinkConditioner,
-    chain: &mut Chain,
-    scratch: &mut DriveScratch,
-) -> SessionResult {
-    drive_inner(client, server, params, conditioner, None, Some(chain), scratch)
-}
-
-fn drive_inner(
+/// Endpoints built from this scratch's `take_client`/`take_server`
+/// halves are handed back into it when the session ends, so a lane
+/// looping over sessions allocates nothing per session once warm.
+pub fn drive(
     mut client: ClientConnection,
     mut server: ServerConnection,
     params: SessionParams<'_>,
     conditioner: &mut LinkConditioner,
-    mut tap: Option<&mut GatewayTap>,
-    mut chain: Option<&mut Chain>,
+    chain: &mut Chain,
     scratch: &mut DriveScratch,
 ) -> SessionResult {
     let mut link = DuplexLink::new();
@@ -270,9 +214,10 @@ fn drive_inner(
     scratch.c2s.clear();
     scratch.s2c.clear();
 
-    if let Some(ch) = chain.as_deref_mut() {
-        ch.begin_session();
+    if let Some(tap) = chain.middleware_mut::<GatewayTap>(0) {
+        tap.reset();
     }
+    chain.begin_session();
 
     client.start_into(&mut scratch.c2s);
 
@@ -288,26 +233,14 @@ fn drive_inner(
         conditioner.transfer_into(Direction::C2s, scratch.c2s.as_slice(), round, &mut scratch.wire);
         scratch.c2s.clear();
         if !scratch.wire.is_empty() {
-            if let Some(t) = tap.as_mut() {
-                t.observe_c2s(&scratch.wire);
-            }
             link.c2s.write(&scratch.wire);
-            match chain.as_deref_mut() {
-                Some(ch) => {
-                    server.process_with(link.c2s.queued(), &mut scratch.s2c, ch);
-                    if ch.terminal().is_some() {
-                        stopped_by_chain = true;
-                    }
-                }
-                None => {
-                    server.process(link.c2s.queued(), &mut scratch.s2c);
-                }
+            if chain.feed(Flow::ClientToServer, &scratch.wire).is_some() {
+                stopped_by_chain = true;
+                break;
             }
+            server.process(link.c2s.queued(), &mut scratch.s2c);
             link.c2s.consume();
             moved = true;
-        }
-        if stopped_by_chain {
-            break;
         }
         server.drain_application_data_into(&mut server_received);
 
@@ -324,26 +257,14 @@ fn drive_inner(
         conditioner.transfer_into(Direction::S2c, scratch.s2c.as_slice(), round, &mut scratch.wire);
         scratch.s2c.clear();
         if !scratch.wire.is_empty() {
-            if let Some(t) = tap.as_mut() {
-                t.observe_s2c(&scratch.wire);
-            }
             link.s2c.write(&scratch.wire);
-            match chain.as_deref_mut() {
-                Some(ch) => {
-                    client.process_with(link.s2c.queued(), &mut scratch.c2s, ch);
-                    if ch.terminal().is_some() {
-                        stopped_by_chain = true;
-                    }
-                }
-                None => {
-                    client.process(link.s2c.queued(), &mut scratch.c2s);
-                }
+            if chain.feed(Flow::ServerToClient, &scratch.wire).is_some() {
+                stopped_by_chain = true;
+                break;
             }
+            client.process(link.s2c.queued(), &mut scratch.c2s);
             link.s2c.consume();
             moved = true;
-        }
-        if stopped_by_chain {
-            break;
         }
         client.drain_application_data_into(&mut client_received);
 
@@ -365,11 +286,9 @@ fn drive_inner(
 
     SESSIONS_DRIVEN.fetch_add(1, Ordering::Relaxed);
 
-    if let Some(ch) = chain {
-        // Close fires once at natural end of session (a no-op after a
-        // terminal verdict already stopped it).
-        ch.close();
-    }
+    // Close fires once at natural end of session (a no-op after a
+    // terminal verdict already stopped it).
+    chain.close();
 
     let established = client.is_established() && server.is_established();
     let failure = if established {
@@ -379,12 +298,17 @@ fn drive_inner(
         // reads the verdict off the chain instead.
         conditioner.failure_cause(exhausted && !stopped_by_chain)
     };
-    let (records_deframed, bytes_tapped) = tap
-        .as_ref()
-        .map_or((0, 0), |t| (t.records_deframed(), t.bytes_tapped()));
-    let observation = tap
-        .as_mut()
-        .and_then(|t| t.take_observation(params.time, params.device, params.destination));
+    let bytes_c2s = link.c2s.total_bytes();
+    let bytes_s2c = link.s2c.total_bytes();
+    let (observation, records_deframed, bytes_tapped) = match chain.middleware_mut::<GatewayTap>(0)
+    {
+        Some(tap) => (
+            tap.take_observation(params.time, params.device, params.destination),
+            tap.records_deframed(),
+            bytes_c2s + bytes_s2c,
+        ),
+        None => (None, 0, 0),
+    };
     let result = SessionResult {
         client_summary: client.summary(),
         established,
@@ -393,8 +317,8 @@ fn drive_inner(
         server_received,
         client_received,
         observation,
-        bytes_c2s: link.c2s.total_bytes(),
-        bytes_s2c: link.s2c.total_bytes(),
+        bytes_c2s,
+        bytes_s2c,
         records_deframed,
         bytes_tapped,
     };

@@ -10,10 +10,12 @@
 //! * [`events`] — virtual clock and deterministic event queue
 //!   (device boots, power cycles, capture rolls);
 //! * [`pipe`] — reliable in-order byte pipes (the transport);
-//! * [`tap`] — the passive gateway: reconstructs handshake metadata
-//!   from raw bytes, producing [`tap::TlsObservation`]s;
+//! * [`tap`] — the passive gateway: a middleware that reconstructs
+//!   handshake metadata from the records on the wire, producing
+//!   [`tap::TlsObservation`]s;
 //! * [`driver`] — the lockstep session driver connecting sans-IO TLS
-//!   endpoints over a link, with optional tap and app payloads;
+//!   endpoints over a link, observed through a middleware chain, with
+//!   optional app payloads;
 //! * [`dns`] — simulated DNS with a per-device query log (revocation
 //!   endpoint detection);
 //! * [`fault`] — seeded deterministic fault injection (resets, stalls,
@@ -37,8 +39,7 @@ pub mod tap;
 
 pub use dns::{DnsOutcome, DnsQuery, DnsTable};
 pub use driver::{
-    drive_session, drive_session_chained, drive_session_faulted, drive_session_faulted_tapped,
-    drive_session_reusing, sessions_driven, DriveScratch, SessionParams, SessionResult,
+    drive, drive_session, sessions_driven, DriveScratch, SessionParams, SessionResult,
 };
 pub use events::{EventQueue, SimClock};
 pub use fault::{
@@ -46,7 +47,7 @@ pub use fault::{
 };
 pub use metrics::record_session_metrics;
 pub use mux::{
-    replay_flow, replay_flow_chained, replay_flow_with, AcceptLoop, FlowRound, ReplayOutcome,
+    replay, replay_flow_chained, replay_flow_with, AcceptLoop, FlowRound, ReplayOutcome,
     ReplayScratch, SessionFlow,
 };
 pub use par::{ordered_map, ordered_map_with, ordered_map_with_state, worker_count};

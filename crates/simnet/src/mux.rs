@@ -8,10 +8,11 @@
 //! * [`SessionFlow::record`] drives one *clean* TLS session to
 //!   quiescence once, capturing the per-round byte chunks each
 //!   endpoint emitted — the session's wire "tape";
-//! * [`replay_flow`] pushes a recorded tape through a fresh
+//! * [`replay`] pushes a recorded tape through a fresh
 //!   [`LinkConditioner`] under that session's own fault draw and a
-//!   per-session round **deadline**, classifying the outcome without
-//!   touching the TLS state machines again;
+//!   per-session round **deadline**, feeding every delivered chunk
+//!   through a middleware [`Chain`] and classifying the outcome
+//!   without touching the TLS state machines again;
 //! * [`AcceptLoop`] turns a seed into the deterministic arrival
 //!   schedule (how many sessions knock per tick, and which recorded
 //!   flow each one replays), a pure function of `(seed, tick)` so the
@@ -139,7 +140,7 @@ impl SessionFlow {
 }
 
 /// Outcome of replaying one tape through a conditioner.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Every byte of the tape was delivered within the deadline.
     pub completed: bool,
@@ -159,22 +160,8 @@ pub struct ReplayOutcome {
     pub injected: Vec<InjectedFault>,
 }
 
-/// Replays `flow` through a fresh [`LinkConditioner`] built from
-/// `faults`, with a hard per-session round `deadline` in place of the
-/// driver's global wedge budget.
-///
-/// A stall that would previously burn the full 64-round budget now
-/// runs out at `deadline` rounds and is reported as
-/// [`FailureCause::Wedged`] with `completed == false` — the gateway
-/// reclassifies that as a deadline overrun. A garbled byte fails the
-/// session even when all bytes deliver (a corrupted handshake record
-/// breaks the transcript MAC); a cut fails it immediately.
-pub fn replay_flow(flow: &SessionFlow, faults: SessionFaults, deadline: usize) -> ReplayOutcome {
-    replay_flow_with(flow, faults, deadline, &mut ReplayScratch::default())
-}
-
-/// Reusable scratch for [`replay_flow_with`]: one post-conditioner
-/// delivery buffer, warm across every replay a worker performs.
+/// Reusable scratch for [`replay`]: one post-conditioner delivery
+/// buffer, warm across every replay a worker performs.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
     wire: Vec<u8>,
@@ -187,67 +174,48 @@ impl ReplayScratch {
     }
 }
 
-/// [`replay_flow`] with caller-owned [`ReplayScratch`] — the gateway's
-/// hot path. A clean replay (no faults drawn) performs zero heap
-/// allocations once the scratch is warm.
+/// [`replay`] with an empty chain.
 pub fn replay_flow_with(
     flow: &SessionFlow,
     faults: SessionFaults,
     deadline: usize,
     scratch: &mut ReplayScratch,
 ) -> ReplayOutcome {
-    let mut cond = LinkConditioner::new(faults);
-    let mut delivered = 0u64;
-    let mut rounds_used = 0;
-    let mut completed = false;
-    let empty: &[u8] = &[];
-
-    for round in 0..deadline {
-        rounds_used = round + 1;
-        cond.begin_round(round);
-        let (c2s, s2c) = match flow.rounds.get(round) {
-            Some(r) => (r.c2s.as_slice(), r.s2c.as_slice()),
-            None => (empty, empty),
-        };
-        cond.transfer_into(Direction::C2s, c2s, round, &mut scratch.wire);
-        delivered += scratch.wire.len() as u64;
-        cond.transfer_into(Direction::S2c, s2c, round, &mut scratch.wire);
-        delivered += scratch.wire.len() as u64;
-        if cond.is_cut() {
-            break;
-        }
-        if round + 1 >= flow.len() && delivered >= flow.total_bytes() && !cond.has_backlog() {
-            completed = true;
-            break;
-        }
-    }
-
-    // Completed replays can still have failed as TLS sessions (a
-    // garble passed every byte through, corrupted); incomplete ones
-    // without a cut ran out of deadline.
-    let failure = cond.failure_cause(!completed && !cond.is_cut());
-    let established = flow.established && completed && failure.is_none();
-    ReplayOutcome {
-        completed,
-        established,
-        failure,
-        rounds_used,
-        bytes_delivered: delivered,
-        injected: cond.injected().to_vec(),
-    }
+    replay(flow, faults, deadline, scratch, &mut Chain::new())
 }
 
-/// [`replay_flow_with`] with a middleware [`Chain`] riding the replay:
-/// every post-conditioner delivery is fed through the chain's
-/// byte-feed avenue ([`Chain::feed`]), so hooks see exactly the bytes
-/// the link delivered. A terminal verdict (`Intercept` / `Abort`)
-/// stops the replay immediately; the signal stays on the chain
-/// ([`Chain::terminal`]) and the per-session stats are left for the
-/// caller to [`Chain::take_stats`]. With an empty chain this is
-/// byte-for-byte [`replay_flow_with`] (feeding short-circuits before
-/// deframing), and with an observe-only chain it stays
-/// allocation-free once chain scratch is warm.
+/// [`replay`], under the name existing callers use.
 pub fn replay_flow_chained(
+    flow: &SessionFlow,
+    faults: SessionFaults,
+    deadline: usize,
+    scratch: &mut ReplayScratch,
+    chain: &mut Chain,
+) -> ReplayOutcome {
+    replay(flow, faults, deadline, scratch, chain)
+}
+
+/// Replays `flow` through a fresh [`LinkConditioner`] built from
+/// `faults`, with a hard per-session round `deadline` in place of the
+/// driver's global wedge budget, feeding every delivered chunk
+/// through `chain` ([`Chain::feed`]) so hooks see exactly the bytes
+/// the link delivered.
+///
+/// A stall that would previously burn the full 64-round budget now
+/// runs out at `deadline` rounds and is reported as
+/// [`FailureCause::Wedged`] with `completed == false` — the gateway
+/// reclassifies that as a deadline overrun. A garbled byte fails the
+/// session even when all bytes deliver (a corrupted handshake record
+/// breaks the transcript MAC); a cut fails it immediately. A terminal
+/// chain verdict (`Intercept` / `Abort`) stops the replay at once and
+/// is no transport failure: the signal stays on the chain
+/// ([`Chain::terminal`]) and the per-session stats are left for the
+/// caller to [`Chain::take_stats`].
+///
+/// An empty chain is the fast path: feeding returns before deframing.
+/// With a warm scratch, a clean replay (no faults drawn) performs
+/// zero heap allocations, with an empty or an observe-only chain.
+pub fn replay(
     flow: &SessionFlow,
     faults: SessionFaults,
     deadline: usize,
@@ -261,6 +229,8 @@ pub fn replay_flow_chained(
     let mut completed = false;
     let empty: &[u8] = &[];
 
+    // ALLOC-FREE: begin (replay loop — tier1.sh greps this region for
+    // reintroduced per-session allocations).
     for round in 0..deadline {
         rounds_used = round + 1;
         cond.begin_round(round);
@@ -273,11 +243,7 @@ pub fn replay_flow_chained(
         chain.feed(Flow::ClientToServer, &scratch.wire);
         cond.transfer_into(Direction::S2c, s2c, round, &mut scratch.wire);
         delivered += scratch.wire.len() as u64;
-        chain.feed(Flow::ServerToClient, &scratch.wire);
-        if chain.terminal().is_some() {
-            break;
-        }
-        if cond.is_cut() {
+        if chain.feed(Flow::ServerToClient, &scratch.wire).is_some() || cond.is_cut() {
             break;
         }
         if round + 1 >= flow.len() && delivered >= flow.total_bytes() && !cond.has_backlog() {
@@ -285,12 +251,12 @@ pub fn replay_flow_chained(
             break;
         }
     }
+    // ALLOC-FREE: end (replay loop)
 
-    if chain.terminal().is_none() {
-        chain.close();
-    }
-    // A chain-terminated session is neither wedged nor failed at the
-    // transport layer; the caller reads the verdict off the chain.
+    chain.close();
+    // Completed replays can still have failed as TLS sessions (a
+    // garble passed every byte through, corrupted); incomplete ones
+    // without a cut or a chain stop ran out of deadline.
     let stopped_by_chain = chain.terminal().is_some();
     let failure = cond.failure_cause(!completed && !cond.is_cut() && !stopped_by_chain);
     let established = flow.established && completed && failure.is_none();
@@ -343,13 +309,23 @@ impl AcceptLoop {
 mod tests {
     use super::*;
     use crate::fault::FaultOp;
+    use iotls_tls::middleware::RecordCounter;
 
-    /// A synthetic tape; replay logic only cares about byte chunks.
+    /// One application-data record of `len` bytes on the wire.
+    fn record(fill: u8, len: usize) -> Vec<u8> {
+        let mut rec = vec![23, 3, 3];
+        rec.extend_from_slice(&((len - 5) as u16).to_be_bytes());
+        rec.resize(len, fill);
+        rec
+    }
+
+    /// A synthetic tape; replay logic only cares about byte chunks,
+    /// framed as records so an observing chain has something to see.
     fn tape(established: bool) -> SessionFlow {
         let rounds = vec![
-            FlowRound { c2s: vec![1; 300], s2c: Vec::new() },
-            FlowRound { c2s: Vec::new(), s2c: vec![2; 900] },
-            FlowRound { c2s: vec![3; 100], s2c: vec![4; 60] },
+            FlowRound { c2s: record(1, 300), s2c: Vec::new() },
+            FlowRound { c2s: Vec::new(), s2c: record(2, 900) },
+            FlowRound { c2s: record(3, 100), s2c: record(4, 60) },
         ];
         let total_bytes = rounds
             .iter()
@@ -358,10 +334,22 @@ mod tests {
         SessionFlow { rounds, established, total_bytes }
     }
 
+    /// Replays through an empty chain and through an observe-only
+    /// one: an observer never changes the outcome, so every test
+    /// checks both.
+    fn replay_both(flow: &SessionFlow, faults: SessionFaults, deadline: usize) -> ReplayOutcome {
+        let mut scratch = ReplayScratch::new();
+        let bare = replay(flow, faults.clone(), deadline, &mut scratch, &mut Chain::new());
+        let mut observed = Chain::new().with(Box::new(RecordCounter::default()));
+        let seen = replay(flow, faults, deadline, &mut scratch, &mut observed);
+        assert_eq!(bare, seen, "an observe-only chain changed the replay");
+        bare
+    }
+
     #[test]
     fn clean_replay_completes_and_establishes() {
         let flow = tape(true);
-        let out = replay_flow(&flow, SessionFaults::none(), 12);
+        let out = replay_both(&flow, SessionFaults::none(), 12);
         assert!(out.completed);
         assert!(out.established);
         assert_eq!(out.failure, None);
@@ -372,7 +360,7 @@ mod tests {
 
     #[test]
     fn declined_tape_never_establishes() {
-        let out = replay_flow(&tape(false), SessionFaults::none(), 12);
+        let out = replay_both(&tape(false), SessionFaults::none(), 12);
         assert!(out.completed);
         assert!(!out.established, "endpoint declined on the clean link");
         assert_eq!(out.failure, None);
@@ -384,7 +372,7 @@ mod tests {
             ops: vec![FaultOp::Reset { offset: 128 }],
             dns: None,
         };
-        let out = replay_flow(&tape(true), faults, 12);
+        let out = replay_both(&tape(true), faults, 12);
         assert!(!out.completed);
         assert!(!out.established);
         assert_eq!(out.failure, Some(FailureCause::Reset));
@@ -397,7 +385,7 @@ mod tests {
             ops: vec![FaultOp::Garble { offset: 10 }],
             dns: None,
         };
-        let out = replay_flow(&tape(true), faults, 12);
+        let out = replay_both(&tape(true), faults, 12);
         assert!(out.completed, "all bytes still flow");
         assert!(!out.established);
         assert_eq!(out.failure, Some(FailureCause::Garbled));
@@ -409,7 +397,7 @@ mod tests {
             ops: vec![FaultOp::Stall { after_round: 0 }],
             dns: None,
         };
-        let out = replay_flow(&tape(true), faults, 12);
+        let out = replay_both(&tape(true), faults, 12);
         assert!(!out.completed);
         assert_eq!(out.failure, Some(FailureCause::Wedged));
         assert_eq!(out.rounds_used, 12, "burns exactly the deadline, not 64");
@@ -422,8 +410,8 @@ mod tests {
             ops: vec![FaultOp::Garble { offset: 500 }, FaultOp::Stall { after_round: 1 }],
             dns: None,
         };
-        let a = replay_flow(&tape(true), faults(), 8);
-        let b = replay_flow(&tape(true), faults(), 8);
+        let a = replay_both(&tape(true), faults(), 8);
+        let b = replay_both(&tape(true), faults(), 8);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.failure, b.failure);
         assert_eq!(a.bytes_delivered, b.bytes_delivered);

@@ -134,7 +134,7 @@ fn steady_state_chained_replay_allocates_nothing_per_session() {
     assert!(flow.established, "clean tape must establish");
 
     // An observe-only chain: the counter reads every record through
-    // the hook surface but never rewrites or intercepts. Warmup grows
+    // the hook surface but never intercepts or aborts. Warmup grows
     // the scratch wire buffer AND the chain's per-direction deframer
     // buffers to the tape's largest chunk.
     let mut chain = Chain::new().with(Box::new(RecordCounter::default()));

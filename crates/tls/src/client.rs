@@ -31,7 +31,6 @@ use crate::codec::CodecError;
 use crate::extension::{sig_scheme, Extension};
 use crate::fingerprint::Fingerprint;
 use crate::handshake::{ClientHello, HandshakeMessage, ServerKeyExchange};
-use crate::middleware::{Chain, Flow};
 use crate::profile::LibraryProfile;
 use crate::record::{write_record, ContentType, Deframer, SessionBuf};
 use crate::session::{
@@ -481,24 +480,7 @@ impl ClientConnection {
     /// [`Status::Failed`]; the caller reads wire bytes from `out`
     /// regardless (a failing connection still sends its fatal alert).
     pub fn process(&mut self, incoming: &[u8], out: &mut SessionBuf) -> Status {
-        let _ = self.process_bytes(incoming, out, None);
-        self.status()
-    }
-
-    /// [`ClientConnection::process`] with a middleware [`Chain`]
-    /// riding the record loop: every incoming record is dispatched
-    /// through the chain (as [`Flow::ServerToClient`]) *before* the
-    /// state machine consumes it, so a `Rewrite` hook changes what
-    /// this endpoint sees and an `Intercept`/`Abort` hook stops record
-    /// consumption. The terminal signal is left on the chain for the
-    /// caller ([`Chain::terminal`]).
-    pub fn process_with(
-        &mut self,
-        incoming: &[u8],
-        out: &mut SessionBuf,
-        chain: &mut Chain,
-    ) -> Status {
-        let _ = self.process_bytes(incoming, out, Some(chain));
+        let _ = self.process_bytes(incoming, out);
         self.status()
     }
 
@@ -506,17 +488,12 @@ impl ClientConnection {
     /// internally (legacy buffered API over the same sans-IO core).
     pub fn read_tls(&mut self, data: &[u8]) -> Result<(), CodecError> {
         let mut pending = std::mem::take(&mut self.scratch.pending);
-        let result = self.process_bytes(data, &mut pending, None);
+        let result = self.process_bytes(data, &mut pending);
         self.scratch.pending = pending;
         result
     }
 
-    fn process_bytes(
-        &mut self,
-        incoming: &[u8],
-        out: &mut SessionBuf,
-        chain: Option<&mut Chain>,
-    ) -> Result<(), CodecError> {
+    fn process_bytes(&mut self, incoming: &[u8], out: &mut SessionBuf) -> Result<(), CodecError> {
         self.scratch.deframer.push(incoming);
         // Disjoint-field dance: the deframer and the record-payload
         // scratch move out of `self` for the duration of the loop (a
@@ -524,7 +501,7 @@ impl ClientConnection {
         // while the state machine borrows `self`.
         let mut deframer = std::mem::take(&mut self.scratch.deframer);
         let mut rx = std::mem::take(&mut self.scratch.rx);
-        let result = self.process_deframed(&mut deframer, &mut rx, out, chain);
+        let result = self.process_deframed(&mut deframer, &mut rx, out);
         self.scratch.deframer = deframer;
         self.scratch.rx = rx;
         result
@@ -535,7 +512,6 @@ impl ClientConnection {
         deframer: &mut Deframer,
         rx: &mut Vec<u8>,
         out: &mut SessionBuf,
-        mut chain: Option<&mut Chain>,
     ) -> Result<(), CodecError> {
         loop {
             let content_type = match deframer.pop_ref() {
@@ -547,18 +523,6 @@ impl ClientConnection {
                 Ok(None) => return Ok(()),
                 Err(e) => return Err(e),
             };
-            // Middleware hooks fire on the record scratch before the
-            // state machine consumes it: rewrites are real, terminal
-            // verdicts stop consumption (unread records stay queued in
-            // the deframer behind the sticky signal).
-            if let Some(ch) = chain.as_deref_mut() {
-                if ch
-                    .dispatch_record(Flow::ServerToClient, content_type, rx)
-                    .is_some()
-                {
-                    return Ok(());
-                }
-            }
             self.process_record_ref(content_type, rx, out)?;
         }
     }

@@ -1,39 +1,26 @@
-//! Protocol middleware: staged observe / rewrite / intercept hooks on
-//! the TLS session path.
+//! Protocol middleware: staged observe / intercept hooks on the TLS
+//! session path.
 //!
-//! A [`Chain`] of [`Middleware`]s rides the sans-IO record loop. Hooks
-//! fire per record (and per handshake message for the staged hooks)
-//! with *borrowed, mutable* payload slices — no buffering, no copy,
-//! and after warm-up no per-session allocation — and return a
+//! A [`Chain`] of [`Middleware`]s watches the wire between two
+//! endpoints. Hooks fire per record (and per handshake message for the
+//! staged hooks) with *borrowed* payload slices — no buffering, no
+//! copy, and after warm-up no per-session allocation — and return a
 //! [`Verdict`]:
 //!
 //! * [`Verdict::Continue`] — pure observation, the default;
-//! * [`Verdict::Rewrite`] — the hook mutated the payload in place and
-//!   the endpoint consumes the rewritten bytes;
 //! * [`Verdict::Intercept`] — terminate the session from the chain
 //!   (policy stop: the session is *taken over*, not failed);
 //! * [`Verdict::Abort`] — terminate the session as a failure.
 //!
-//! Two dispatch avenues share one chain type:
-//!
-//! 1. **In-path** — [`ClientConnection::process_with`] /
-//!    [`ServerConnection::process_with`] fire the chain from inside
-//!    `process_deframed`, on the record scratch *before* the state
-//!    machine consumes it, so a `Rewrite` genuinely changes what the
-//!    endpoint sees.
-//! 2. **Byte-feed** — [`Chain::feed`] deframes raw transport bytes
-//!    with chain-owned [`Deframer`]s (one per [`Flow`] direction), for
-//!    passive paths like gateway tape replay where no live endpoint
-//!    exists.
-//!
-//! Both avenues funnel into the same hook dispatch, so a middleware is
-//! written once and runs anywhere on the session path. Terminal
-//! verdicts are sticky per session: once a hook intercepts or aborts,
-//! [`Chain::terminal`] reports it and further dispatch short-circuits
-//! until [`Chain::begin_session`].
-//!
-//! [`ClientConnection::process_with`]: crate::client::ClientConnection::process_with
-//! [`ServerConnection::process_with`]: crate::server::ServerConnection::process_with
+//! There is one dispatch avenue: [`Chain::feed`] deframes the bytes a
+//! link delivered, with chain-owned [`Deframer`]s (one per [`Flow`]
+//! direction), and dispatches each complete record. The session driver
+//! feeds every conditioned chunk before handing it to the receiving
+//! endpoint, and tape replay feeds every delivered chunk, so a
+//! middleware is written once and sees exactly what a gateway on the
+//! wire would see. Terminal verdicts are sticky per session: once a
+//! hook intercepts or aborts, [`Chain::terminal`] reports it and
+//! further dispatch short-circuits until [`Chain::begin_session`].
 
 use std::any::Any;
 
@@ -119,9 +106,6 @@ impl Stage {
 pub enum Verdict {
     /// Observed only; dispatch continues.
     Continue,
-    /// The hook mutated the payload in place; dispatch continues and
-    /// downstream consumers see the rewritten bytes.
-    Rewrite,
     /// Terminate the session under chain control (not a failure).
     Intercept,
     /// Terminate the session as a failure.
@@ -145,8 +129,6 @@ pub enum Signal {
 pub struct ChainStats {
     /// Hook invocations per stage, indexed by [`Stage::index`].
     pub invocations: [u64; STAGE_COUNT],
-    /// Hooks that returned [`Verdict::Rewrite`].
-    pub rewrites: u64,
     /// Hooks that returned [`Verdict::Intercept`].
     pub intercepts: u64,
     /// Hooks that returned [`Verdict::Abort`].
@@ -159,7 +141,6 @@ impl ChainStats {
         for (a, b) in self.invocations.iter_mut().zip(other.invocations) {
             *a += b;
         }
-        self.rewrites += other.rewrites;
         self.intercepts += other.intercepts;
         self.aborts += other.aborts;
     }
@@ -173,7 +154,6 @@ impl ChainStats {
         self.invocations[stage.index()] += 1;
         match verdict {
             Verdict::Continue => {}
-            Verdict::Rewrite => self.rewrites += 1,
             Verdict::Intercept => self.intercepts += 1,
             Verdict::Abort => self.aborts += 1,
         }
@@ -184,33 +164,32 @@ impl ChainStats {
 ///
 /// All hooks default to pure observation ([`Verdict::Continue`]), so a
 /// middleware implements only the stages it cares about. Payload
-/// slices are borrowed from the caller's scratch: hooks must not store
-/// them, and a mutating hook signals the mutation with
-/// [`Verdict::Rewrite`].
+/// slices are borrowed from the chain's deframers: hooks must not
+/// store them.
 ///
 /// Implementations must be `'static` (for [`Middleware::as_any_mut`]
 /// state recovery) and `Send` (chains are built per worker thread).
 pub trait Middleware: Send {
     /// Fires for every record, before the per-message staged hooks.
-    fn on_record(&mut self, flow: Flow, content_type: ContentType, payload: &mut [u8]) -> Verdict {
+    fn on_record(&mut self, flow: Flow, content_type: ContentType, payload: &[u8]) -> Verdict {
         let _ = (flow, content_type, payload);
         Verdict::Continue
     }
 
     /// Fires for each CLIENT_HELLO handshake body.
-    fn on_client_hello(&mut self, flow: Flow, body: &mut [u8]) -> Verdict {
+    fn on_client_hello(&mut self, flow: Flow, body: &[u8]) -> Verdict {
         let _ = (flow, body);
         Verdict::Continue
     }
 
     /// Fires for each SERVER_HELLO handshake body.
-    fn on_server_hello(&mut self, flow: Flow, body: &mut [u8]) -> Verdict {
+    fn on_server_hello(&mut self, flow: Flow, body: &[u8]) -> Verdict {
         let _ = (flow, body);
         Verdict::Continue
     }
 
     /// Fires for each CERTIFICATE handshake body.
-    fn on_certificate(&mut self, flow: Flow, body: &mut [u8]) -> Verdict {
+    fn on_certificate(&mut self, flow: Flow, body: &[u8]) -> Verdict {
         let _ = (flow, body);
         Verdict::Continue
     }
@@ -226,9 +205,10 @@ pub trait Middleware: Send {
 }
 
 /// An ordered chain of middlewares plus the per-session scratch that
-/// keeps dispatch allocation-free: chain-owned deframers for the
-/// byte-feed avenue and `Copy` stats. Reused across sessions via
-/// [`Chain::begin_session`].
+/// keeps dispatch allocation-free: chain-owned deframers for
+/// [`Chain::feed`] and `Copy` stats. Reused across sessions via
+/// [`Chain::begin_session`]. [`Chain::new`] allocates nothing, so an
+/// empty chain costs nothing to build or to feed.
 #[derive(Default)]
 pub struct Chain {
     mws: Vec<Box<dyn Middleware>>,
@@ -315,35 +295,13 @@ impl Chain {
     // allocator tests in simnet prove it at runtime with an
     // observe-only chain).
 
-    /// Dispatches one record through the chain: the `Record` hook for
-    /// every middleware, then the staged handshake-message hooks.
-    /// Returns the terminal signal if any hook intercepted or aborted
-    /// (dispatch stops at the first terminal verdict).
-    pub fn dispatch_record(
-        &mut self,
-        flow: Flow,
-        content_type: ContentType,
-        payload: &mut [u8],
-    ) -> Option<Signal> {
-        if self.mws.is_empty() || self.terminal.is_some() {
-            return self.terminal;
-        }
-        Self::dispatch_parts(
-            &mut self.mws,
-            &mut self.stats,
-            &mut self.terminal,
-            flow,
-            content_type,
-            payload,
-        )
-    }
-
-    /// Feeds raw transport bytes for one flow direction through the
-    /// chain-owned deframer and dispatches each complete record — the
-    /// passive avenue, used where no live endpoint exists (tape
-    /// replay). Garbled record headers stop observation of the current
-    /// buffer for that direction, mirroring the tap's poisoning
-    /// behavior. An empty chain skips deframing entirely.
+    /// Feeds the bytes a link delivered for one flow direction through
+    /// the chain-owned deframer and dispatches each complete record.
+    /// Partial records wait in the deframer for the next push. A
+    /// garbled record header drops everything buffered for that
+    /// direction, quietly: observation resumes at the next push, which
+    /// on a driven link is usually the peer's next flight. An empty
+    /// chain returns before deframing anything.
     pub fn feed(&mut self, flow: Flow, data: &[u8]) -> Option<Signal> {
         if self.mws.is_empty() {
             return None;
@@ -357,15 +315,15 @@ impl Chain {
         };
         deframer.push(data);
         loop {
-            match deframer.pop_ref_mut() {
-                Ok(Some((content_type, payload))) => {
+            match deframer.pop_ref() {
+                Ok(Some(rec)) => {
                     let signal = Self::dispatch_parts(
                         &mut self.mws,
                         &mut self.stats,
                         &mut self.terminal,
                         flow,
-                        content_type,
-                        payload,
+                        rec.content_type,
+                        rec.payload,
                     );
                     if signal.is_some() {
                         return signal;
@@ -393,22 +351,24 @@ impl Chain {
         }
     }
 
-    /// The shared dispatch core, written over disjoint field borrows
-    /// so [`Chain::feed`] can hold a deframer-borrowed payload while
-    /// the hooks and stats are driven.
+    /// Dispatches one record: the `Record` hook for every middleware,
+    /// then the staged handshake-message hooks. Written over disjoint
+    /// field borrows so [`Chain::feed`] can hold a deframer-borrowed
+    /// payload while the hooks and stats are driven; stops at the
+    /// first terminal verdict.
     fn dispatch_parts(
         mws: &mut [Box<dyn Middleware>],
         stats: &mut ChainStats,
         terminal: &mut Option<Signal>,
         flow: Flow,
         content_type: ContentType,
-        payload: &mut [u8],
+        payload: &[u8],
     ) -> Option<Signal> {
         for mw in mws.iter_mut() {
             let verdict = mw.on_record(flow, content_type, payload);
             stats.tally(Stage::Record, verdict);
             match verdict {
-                Verdict::Continue | Verdict::Rewrite => {}
+                Verdict::Continue => {}
                 Verdict::Intercept => {
                     *terminal = Some(Signal::Intercept);
                     return *terminal;
@@ -425,10 +385,10 @@ impl Chain {
         // Walk the handshake messages inside the record, mirroring the
         // tap's skim: stop quietly at the first unparsable header
         // (encrypted FINISHED payloads land here).
-        let mut off = 0;
-        while off < payload.len() {
-            let (typ, body_len, used) = match next_raw_message(&payload[off..]) {
-                Ok((typ, body, used)) => (typ, body.len(), used),
+        let mut rest = payload;
+        while !rest.is_empty() {
+            let (typ, body, used) = match next_raw_message(rest) {
+                Ok(msg) => msg,
                 Err(_) => break,
             };
             let stage = match typ {
@@ -438,8 +398,6 @@ impl Chain {
                 _ => None,
             };
             if let Some(stage) = stage {
-                let body_start = off + used - body_len;
-                let body = &mut payload[body_start..body_start + body_len];
                 for mw in mws.iter_mut() {
                     let verdict = match stage {
                         Stage::ClientHello => mw.on_client_hello(flow, body),
@@ -449,7 +407,7 @@ impl Chain {
                     };
                     stats.tally(stage, verdict);
                     match verdict {
-                        Verdict::Continue | Verdict::Rewrite => {}
+                        Verdict::Continue => {}
                         Verdict::Intercept => {
                             *terminal = Some(Signal::Intercept);
                             return *terminal;
@@ -461,7 +419,7 @@ impl Chain {
                     }
                 }
             }
-            off += used;
+            rest = &rest[used..];
         }
         None
     }
@@ -486,7 +444,7 @@ pub struct RecordCounter {
 }
 
 impl Middleware for RecordCounter {
-    fn on_record(&mut self, flow: Flow, _content_type: ContentType, payload: &mut [u8]) -> Verdict {
+    fn on_record(&mut self, flow: Flow, _content_type: ContentType, payload: &[u8]) -> Verdict {
         match flow {
             Flow::ClientToServer => self.c2s_records += 1,
             Flow::ServerToClient => self.s2c_records += 1,
@@ -535,7 +493,7 @@ mod tests {
     }
 
     impl Middleware for Scripted {
-        fn on_record(&mut self, _f: Flow, _ct: ContentType, _p: &mut [u8]) -> Verdict {
+        fn on_record(&mut self, _f: Flow, _ct: ContentType, _p: &[u8]) -> Verdict {
             if self.stage == Stage::Record {
                 self.fired += 1;
                 self.verdict
@@ -543,7 +501,7 @@ mod tests {
                 Verdict::Continue
             }
         }
-        fn on_client_hello(&mut self, _f: Flow, _b: &mut [u8]) -> Verdict {
+        fn on_client_hello(&mut self, _f: Flow, _b: &[u8]) -> Verdict {
             if self.stage == Stage::ClientHello {
                 self.fired += 1;
                 self.verdict
@@ -551,7 +509,7 @@ mod tests {
                 Verdict::Continue
             }
         }
-        fn on_certificate(&mut self, _f: Flow, _b: &mut [u8]) -> Verdict {
+        fn on_certificate(&mut self, _f: Flow, _b: &[u8]) -> Verdict {
             if self.stage == Stage::Certificate {
                 self.fired += 1;
                 self.verdict
@@ -584,7 +542,7 @@ mod tests {
         assert_eq!(stats.invocations[Stage::Record.index()], 1);
         assert_eq!(stats.invocations[Stage::ClientHello.index()], 1);
         assert_eq!(stats.invocations[Stage::Close.index()], 1);
-        assert_eq!(stats.rewrites + stats.intercepts + stats.aborts, 0);
+        assert_eq!(stats.intercepts + stats.aborts, 0);
         let counter = chain.middleware_mut::<RecordCounter>(0).unwrap();
         assert_eq!(counter.c2s_records, 1);
         assert_eq!(counter.payload_bytes, 44);
@@ -637,29 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_mutates_payload_in_place() {
-        struct Zeroer;
-        impl Middleware for Zeroer {
-            fn on_record(&mut self, _f: Flow, _ct: ContentType, payload: &mut [u8]) -> Verdict {
-                payload.fill(0);
-                Verdict::Rewrite
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut chain = Chain::new().with(Box::new(Zeroer));
-        chain.begin_session();
-        let mut payload = [0xaau8; 16];
-        assert_eq!(
-            chain.dispatch_record(Flow::ClientToServer, ContentType::ApplicationData, &mut payload),
-            None
-        );
-        assert!(payload.iter().all(|&b| b == 0));
-        assert_eq!(chain.take_stats().rewrites, 1);
-    }
-
-    #[test]
     fn garbled_header_poisons_direction_quietly() {
         let mut chain = Chain::new().with(Box::new(RecordCounter::default()));
         chain.begin_session();
@@ -691,13 +626,13 @@ mod tests {
     fn stats_merge_is_componentwise() {
         let mut a = ChainStats::default();
         a.invocations[0] = 2;
-        a.rewrites = 1;
+        a.intercepts = 1;
         let mut b = ChainStats::default();
         b.invocations[0] = 3;
         b.aborts = 4;
         a.merge(&b);
         assert_eq!(a.invocations[0], 5);
-        assert_eq!(a.rewrites, 1);
+        assert_eq!(a.intercepts, 1);
         assert_eq!(a.aborts, 4);
         assert_eq!(a.total_invocations(), 5);
     }

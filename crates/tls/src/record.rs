@@ -243,8 +243,7 @@ impl Deframer {
 
     /// Parses the next record header without consuming anything:
     /// `(content_type, version, payload_len)`, or `None` if more bytes
-    /// are needed. The single header decode shared by
-    /// [`Deframer::pop_ref`] and [`Deframer::pop_ref_mut`].
+    /// are needed.
     fn peek_header(&self) -> Result<Option<(ContentType, ProtocolVersion, usize)>, CodecError> {
         let buf = &self.buffer[self.start..];
         if buf.len() < 5 {
@@ -274,22 +273,6 @@ impl Deframer {
                     version,
                     payload: &self.buffer[self.start - len..self.start],
                 }))
-            }
-        }
-    }
-
-    /// [`Deframer::pop_ref`] with a *mutable* payload borrow, for the
-    /// middleware byte-feed path where rewrite hooks mutate record
-    /// payloads in place. Same header parse, same consumption rules.
-    pub fn pop_ref_mut(
-        &mut self,
-    ) -> Result<Option<(ContentType, &mut [u8])>, CodecError> {
-        match self.peek_header()? {
-            None => Ok(None),
-            Some((content_type, _version, len)) => {
-                self.start += 5 + len;
-                let start = self.start - len;
-                Ok(Some((content_type, &mut self.buffer[start..self.start])))
             }
         }
     }

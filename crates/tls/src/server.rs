@@ -20,7 +20,6 @@ use crate::alert::{Alert, AlertDescription, AlertLevel};
 use crate::ciphersuite::by_id;
 use crate::codec::CodecError;
 use crate::handshake::{ClientHello, HandshakeMessage, ServerHello, ServerKeyExchange};
-use crate::middleware::{Chain, Flow};
 use crate::record::{write_record, ContentType, Deframer, SessionBuf};
 use crate::session::{
     derive_master_secret, derive_write_keys, finished_verify_data, DirectionCipher,
@@ -313,23 +312,7 @@ impl ServerConnection {
     /// appends every reply record to the caller-owned `out` (nothing,
     /// for a mute server).
     pub fn process(&mut self, incoming: &[u8], out: &mut SessionBuf) -> Status {
-        let _ = self.process_bytes(incoming, out, None);
-        self.status()
-    }
-
-    /// [`ServerConnection::process`] with a middleware [`Chain`]
-    /// riding the record loop: every incoming record is dispatched
-    /// through the chain (as [`Flow::ClientToServer`]) *before* the
-    /// state machine consumes it — the server-side mirror of
-    /// `ClientConnection::process_with`. The terminal signal is left
-    /// on the chain for the caller ([`Chain::terminal`]).
-    pub fn process_with(
-        &mut self,
-        incoming: &[u8],
-        out: &mut SessionBuf,
-        chain: &mut Chain,
-    ) -> Status {
-        let _ = self.process_bytes(incoming, out, Some(chain));
+        let _ = self.process_bytes(incoming, out);
         self.status()
     }
 
@@ -337,24 +320,19 @@ impl ServerConnection {
     /// internally (legacy buffered API over the same sans-IO core).
     pub fn read_tls(&mut self, data: &[u8]) -> Result<(), CodecError> {
         let mut pending = std::mem::take(&mut self.scratch.pending);
-        let result = self.process_bytes(data, &mut pending, None);
+        let result = self.process_bytes(data, &mut pending);
         self.scratch.pending = pending;
         result
     }
 
-    fn process_bytes(
-        &mut self,
-        incoming: &[u8],
-        out: &mut SessionBuf,
-        chain: Option<&mut Chain>,
-    ) -> Result<(), CodecError> {
+    fn process_bytes(&mut self, incoming: &[u8], out: &mut SessionBuf) -> Result<(), CodecError> {
         self.scratch.deframer.push(incoming);
         // Disjoint-field dance mirroring the client: deframer and
         // record-payload scratch move out of `self` (Vec moves, no
         // allocation) so the loop can borrow both.
         let mut deframer = std::mem::take(&mut self.scratch.deframer);
         let mut rx = std::mem::take(&mut self.scratch.rx);
-        let result = self.process_deframed(&mut deframer, &mut rx, out, chain);
+        let result = self.process_deframed(&mut deframer, &mut rx, out);
         self.scratch.deframer = deframer;
         self.scratch.rx = rx;
         result
@@ -365,7 +343,6 @@ impl ServerConnection {
         deframer: &mut Deframer,
         rx: &mut Vec<u8>,
         out: &mut SessionBuf,
-        mut chain: Option<&mut Chain>,
     ) -> Result<(), CodecError> {
         loop {
             let content_type = match deframer.pop_ref() {
@@ -377,16 +354,6 @@ impl ServerConnection {
                 Ok(None) => return Ok(()),
                 Err(e) => return Err(e),
             };
-            // Hooks fire on the record scratch before the state
-            // machine consumes it, mirroring the client side.
-            if let Some(ch) = chain.as_deref_mut() {
-                if ch
-                    .dispatch_record(Flow::ClientToServer, content_type, rx)
-                    .is_some()
-                {
-                    return Ok(());
-                }
-            }
             self.process_record_ref(content_type, rx, out)?;
         }
     }

@@ -300,7 +300,7 @@ fn gateway_soak(ctx: &ExperimentCtx) -> String {
     )
 }
 
-/// `gateway_soak` with the full in-path middleware complement every
+/// `gateway_soak` with the full middleware complement every
 /// endpoint chain carries in production: the audit observer plus the
 /// drift detector enrolled with the roster baselines. Reports
 /// sessions/sec — the throughput delta against `gateway_soak` is the

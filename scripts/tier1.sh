@@ -37,13 +37,18 @@ cargo test -q --offline --test store_persistence
 # explicitly.
 cargo test -q --offline --test segmented_store
 # Middleware-chain suite: chained-gateway byte-identity across worker
-# counts, the audit-as-middleware and survey-as-middleware oracles
-# (chain observation must equal the byte-feed tap sweep exactly), the
-# benign-roster zero-false-positive check for the drift detector, and
-# empty/observe-chain replay equivalence. Also in the workspace run;
-# repeated by name so a hook-dispatch regression is called out
-# explicitly.
+# counts, the benign-roster zero-false-positive check for the drift
+# detector, and empty/observe-chain replay equivalence. (The lab and
+# capture observe through a tap chain on every run; their counter
+# sections under faults are pinned by the golden suite above.) Also in
+# the workspace run; repeated by name so a hook-dispatch regression is
+# called out explicitly.
 cargo test -q --offline --test middleware_chain
+# Benchmark suite: perfbench is its own cargo package, so the workspace
+# run does not build it. Run its tests by name so the session-path
+# names it compiles against (drive_session, replay_flow_with,
+# replay_flow_chained, SessionParams) cannot break silently.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Docs gate: rustdoc warnings (broken intra-doc links, bad code
 # fences) fail tier-1, same as clippy warnings do.
@@ -51,10 +56,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Allocation-discipline gate: the source regions bracketed by
 # "ALLOC-FREE: begin/end" markers (the tls record write path, the
-# middleware hook dispatch, the simnet drive loop, and the detection
-# hooks) are the per-session hot path; the sans-IO rework made them
-# allocation-free and the counting-allocator tests prove it at
-# runtime. Fail fast here if an allocating call is reintroduced
+# middleware hook dispatch, the simnet drive and replay loops, and the
+# detection hooks) are the per-session hot path; the sans-IO rework
+# made them allocation-free and the counting-allocator tests prove it
+# at runtime. Fail fast here if an allocating call is reintroduced
 # textually, so the regression is caught before any bench runs.
 if ! awk '
     /ALLOC-FREE: begin/ { inside = 1; next }
@@ -64,7 +69,7 @@ if ! awk '
     }
     END { exit found }
 ' crates/tls/src/record.rs crates/tls/src/middleware.rs \
-  crates/simnet/src/driver.rs crates/core/src/detect.rs; then
+  crates/simnet/src/driver.rs crates/simnet/src/mux.rs crates/core/src/detect.rs; then
     echo "tier1: FAILED (allocating call inside an ALLOC-FREE region)" >&2
     exit 1
 fi
@@ -74,6 +79,15 @@ fi
 # into the engine crate.
 if grep -rnE 'fn [a-z_]+_(with|metered)\(' crates/core/src; then
     echo "tier1: FAILED (_with/_metered engine variant reintroduced in crates/core/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: the session path has one drive, one replay, and one
+# dispatch avenue (Chain::feed). Fail if the in-path dispatch, a driver
+# variant, or the rewrite verdict comes back.
+if grep -rnE 'fn process_with|fn drive_session_|Rewrite' \
+    crates/tls/src crates/simnet/src crates/core/src; then
+    echo "tier1: FAILED (second session-path variant reintroduced)" >&2
     exit 1
 fi
 

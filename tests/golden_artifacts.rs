@@ -20,18 +20,25 @@
 
 use iotls_repro::analysis::{experiment_artifacts, figures, tables};
 use iotls_repro::capture::json::Json;
-use iotls_repro::capture::global_dataset;
+use iotls_repro::capture::{global_dataset, CaptureCtx};
 use iotls_repro::core::{
     cipher_series, library_alert_matrix, passive_summary, revocation_summary, version_series,
-    ExperimentCtx, ExperimentKind, Orchestrator, Report,
+    Experiment, ExperimentCtx, ExperimentKind, FingerprintSurveyor, InterceptionAudit,
+    Orchestrator, Report,
 };
 use iotls_repro::devices::Testbed;
+use iotls_repro::obs::{Registry, SharedRegistry};
+use iotls_repro::simnet::FaultPlan;
 use std::path::PathBuf;
 
 /// Seed for the labeled application fingerprint database Figure 5
 /// joins against (the experiment seeds themselves are canonical:
 /// [`ExperimentKind::canonical_seed`]).
 const FPDB_SEED: u64 = 0xDB;
+
+/// Seed of the passive capture run whose counters are pinned under
+/// faults (the active engines use their canonical seeds).
+const CAPTURE_SEED: u64 = 0x10AD;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -198,4 +205,52 @@ fn golden_section51_summary() {
             ),
         ]),
     );
+}
+
+/// Wraps a deterministic counter section in the artifact envelope.
+fn counters_artifact(name: &str, reg: &Registry) -> Json {
+    let counters = Json::parse(&reg.counters_json()).expect("counters_json is valid JSON");
+    Json::Obj(vec![
+        ("artifact".into(), Json::Str(name.into())),
+        ("counters".into(), counters),
+    ])
+}
+
+#[test]
+fn golden_counter_sections_under_faults() {
+    // The session-path counters (`sim.*` — tap records and bytes,
+    // injected faults, failure causes — plus the `core.*` recovery and
+    // `capture.*` lane tallies) of the three tapped pipelines, pinned
+    // at two uniform fault rates. Report fixtures alone cannot see a
+    // change in how the gateway observes the wire; these can.
+    let tb = Testbed::global();
+    for pm in [50u16, 150] {
+        let ctx = |kind: ExperimentKind| {
+            let seed = kind.canonical_seed();
+            ExperimentCtx::builder()
+                .seed(seed)
+                .plan(FaultPlan::uniform(seed, pm))
+                .threads(2)
+                .metrics(true)
+                .build()
+        };
+        let audit_ctx = ctx(ExperimentKind::InterceptionAudit);
+        InterceptionAudit.run(tb, &audit_ctx);
+        let name = format!("counters_audit_pm{pm}");
+        check(&name, counters_artifact(&name, &audit_ctx.metrics_snapshot()));
+
+        let survey_ctx = ctx(ExperimentKind::FingerprintSurvey);
+        FingerprintSurveyor.run(tb, &survey_ctx);
+        let name = format!("counters_survey_pm{pm}");
+        check(&name, counters_artifact(&name, &survey_ctx.metrics_snapshot()));
+
+        let metrics = SharedRegistry::live();
+        CaptureCtx::new(CAPTURE_SEED)
+            .with_plan(FaultPlan::uniform(CAPTURE_SEED, pm))
+            .with_threads(2)
+            .with_metrics(metrics.clone())
+            .generate_columnar(tb);
+        let name = format!("counters_capture_pm{pm}");
+        check(&name, counters_artifact(&name, &metrics.snapshot()));
+    }
 }

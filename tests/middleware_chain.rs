@@ -1,18 +1,18 @@
 //! Middleware-chain suite: determinism of the chained gateway across
-//! worker counts, the audit-as-middleware oracle, detection scored
-//! against simulator ground truth on the gateway path, and the
-//! empty-chain equivalence of the chained replay primitives.
+//! worker counts, detection scored against simulator ground truth on
+//! the gateway path, and the equivalence of replays through an empty
+//! and an observe-only chain. (The lab and capture observe through a
+//! tap chain on every run; their counter sections are pinned by the
+//! `golden_counter_sections_under_faults` fixtures.)
 //!
 //! Every test pins its worker count through the builder, so nothing
 //! here reads `IOTLS_THREADS` or races the environment.
 
 use iotls_repro::core::{
-    run_fingerprint_survey_middleware, run_interception_audit_middleware, AuditObserver,
-    DriftDetector, Experiment, ExperimentCtx, FingerprintSurveyor, Gateway, GatewayConfig,
-    InterceptionAudit, Report,
+    AuditObserver, DriftDetector, ExperimentCtx, Gateway, GatewayConfig, Report,
 };
 use iotls_repro::devices::Testbed;
-use iotls_repro::simnet::{replay_flow_chained, replay_flow_with, FaultPlan, ReplayScratch};
+use iotls_repro::simnet::{replay, FaultPlan, ReplayScratch};
 use iotls_repro::tls::middleware::{Chain, RecordCounter};
 use iotls_repro::tls::Stage;
 
@@ -110,41 +110,9 @@ fn benign_roster_replays_never_trip_the_detector() {
 }
 
 #[test]
-fn audit_as_middleware_matches_the_standalone_sweep() {
-    // The oracle: the Table 7 audit observed through the middleware
-    // chain must reproduce the byte-feed tap sweep exactly — same
-    // rows, same passthrough gain, same fault and cache counters.
-    let tb = Testbed::global();
-    let ctx = ExperimentCtx::builder().seed(0x7AB1E7).threads(4).build();
-    let tap_path = InterceptionAudit.run(tb, &ctx);
-    let ctx_mw = ExperimentCtx::builder().seed(0x7AB1E7).threads(4).build();
-    let mw_path = run_interception_audit_middleware(tb, &ctx_mw);
-    assert_eq!(
-        tap_path.to_json().encode(),
-        mw_path.to_json().encode(),
-        "audit-as-middleware diverged from the standalone sweep"
-    );
-}
-
-#[test]
-fn fingerprint_survey_as_middleware_matches_the_tap_survey() {
-    let tb = Testbed::global();
-    let ctx = ExperimentCtx::builder().seed(0x5075).threads(4).build();
-    let tap_path = FingerprintSurveyor.run(tb, &ctx);
-    let ctx_mw = ExperimentCtx::builder().seed(0x5075).threads(4).build();
-    let mw_path = run_fingerprint_survey_middleware(tb, &ctx_mw);
-    assert_eq!(
-        tap_path.to_json().encode(),
-        mw_path.to_json().encode(),
-        "survey-as-middleware diverged from the tap survey"
-    );
-}
-
-#[test]
 fn empty_and_observe_chains_preserve_replay_outcomes() {
-    // replay_flow_chained with an empty chain — and with an
-    // observe-only counter — must classify exactly like
-    // replay_flow_with, fault draw by fault draw.
+    // replay with an observe-only counter must classify exactly like
+    // replay with an empty chain, fault draw by fault draw.
     use iotls_repro::crypto::drbg::Drbg;
     use iotls_repro::devices::client_config;
     use iotls_repro::simnet::SessionFlow;
@@ -176,17 +144,9 @@ fn empty_and_observe_chains_preserve_replay_outcomes() {
         let flow = SessionFlow::record(client, server, Some(b"ping"), Some(b"ok"));
 
         let faults = plan.session_faults(&format!("eq/{i}"));
-        let base = replay_flow_with(&flow, faults.clone(), 12, &mut scratch);
-        let via_empty = replay_flow_chained(&flow, faults.clone(), 12, &mut scratch, &mut empty);
-        let via_observe =
-            replay_flow_chained(&flow, faults, 12, &mut scratch, &mut observed);
-        for out in [&via_empty, &via_observe] {
-            assert_eq!(out.completed, base.completed, "flow {i}");
-            assert_eq!(out.established, base.established, "flow {i}");
-            assert_eq!(out.failure, base.failure, "flow {i}");
-            assert_eq!(out.rounds_used, base.rounds_used, "flow {i}");
-            assert_eq!(out.bytes_delivered, base.bytes_delivered, "flow {i}");
-        }
+        let via_empty = replay(&flow, faults.clone(), 12, &mut scratch, &mut empty);
+        let via_observe = replay(&flow, faults, 12, &mut scratch, &mut observed);
+        assert_eq!(via_observe, via_empty, "flow {i}");
         assert!(empty.take_stats().total_invocations() == 0, "empty chain invoked hooks");
     }
     let counter = observed.middleware_mut::<RecordCounter>(0).unwrap();
